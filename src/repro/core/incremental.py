@@ -236,9 +236,20 @@ class IncrementalDeduplicator:
         self._op_calls = 0
         self._op_marked: set[int] = set()
         if seed is not None:
-            self.distance.prepare(seed)
+            # Seed records are re-added under rids 0..n-1, and corpus
+            # statistics (cosine token vectors, fms weights) are keyed
+            # by rid: prepare on the renumbered seed, not the original.
+            renumbered = Relation(
+                name=seed.name,
+                schema=seed.schema,
+                records=[
+                    Record(rid, record.fields)
+                    for rid, record in enumerate(seed)
+                ],
+            )
+            self.distance.prepare(renumbered)
             self._prepared = True
-            for record in seed:
+            for record in renumbered:
                 self.add(record.fields)
 
     # ------------------------------------------------------------------

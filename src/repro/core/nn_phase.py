@@ -3,9 +3,14 @@
 ``prepare_nn_lists`` materializes the NN relation
 ``NN_Reln[ID, NN-List, NG]``: for every tuple, its nearest neighbors
 (the best K for ``DE_S(K)``; all within θ for ``DE_D(θ)``) and its
-neighborhood growth ``ng``.  Lookups are issued in breadth-first order
-by default to maximize index buffer locality (Figure 5 / section 4.1.1);
-the Figure 8 benchmark compares this against random order.
+neighborhood growth ``ng``.  Both are pure functions of (relation,
+distance, cut), so an index with a columnar pass
+(:attr:`~repro.index.base.NNIndex.columnar_phase1`) answers the whole
+relation through one chunked
+:meth:`~repro.index.base.NNIndex.phase1_batch` driver.  Every other
+index is probed record by record in the paper's online breadth-first
+order, which exists for index buffer locality (Figure 5 / section
+4.1.1); the Figure 8 benchmark compares it against random order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from repro.core.neighborhood import NNEntry, NNRelation
 from repro.data.schema import Relation
 from repro.index.base import Neighbor, NNIndex
 
-__all__ = ["Phase1Stats", "prepare_nn_lists"]
+__all__ = ["Phase1Stats", "PhaseMeter", "prepare_nn_lists"]
 
 LookupOrder = Literal["bf", "random", "sequential"]
 
@@ -44,7 +49,10 @@ class Phase1Stats:
     #: Candidate (query, record) pairs the index surfaced for
     #: verification — the size of the candidate-generation stage's
     #: output (``n * (n - 1)`` for brute force would examine everything;
-    #: approximate indexes surface far fewer).
+    #: approximate indexes surface far fewer).  On the batch path each
+    #: (query, candidate) counts once, however many probes (NN list,
+    #: NG range count) the per-record sequence would have made; the
+    #: size cut's exhaustive-fallback extension counts too.
     candidates_generated: int = 0
     #: Pairs excluded without any distance computation: LSH bucket
     #: misses, q-gram count-filter rejects, triangle-inequality prunes,
@@ -53,14 +61,18 @@ class Phase1Stats:
     #: Pairs evaluated inside a vectorized batch kernel (numpy path)
     #: rather than one scalar ``distance()`` call at a time.  Disjoint
     #: from ``evaluations``: a pair is counted in exactly one of the
-    #: two, so their sum is the total distance work.
+    #: two, so their sum is the total distance work.  The columnar
+    #: MinHash batch evaluates (and counts) each unordered pair once
+    #: per query block — once per ``phase1_batch`` call at moderate
+    #: sizes.
     kernel_evaluations: int = 0
     n_chunks: int = 0
     chunk_seconds: list[float] = field(default_factory=list)
     #: Phase-1 sub-stage wall times — build-side ``tokenize`` / ``sign``
-    #: / ``bucket`` plus lookup-side ``candidates`` / ``verify`` —
-    #: harvested as deltas from ``NNIndex.substage_seconds`` by the
-    #: drivers (sequential, subset, parallel engine, shard runner).
+    #: / ``bucket`` plus lookup-side ``candidates`` / ``verify`` /
+    #: ``drive`` — harvested as deltas from ``NNIndex.substage_seconds``
+    #: by the drivers' :class:`PhaseMeter` (batch, online, parallel
+    #: engine, shard runner).
     substage_seconds: dict[str, float] = field(default_factory=dict)
     #: Per-index-name accumulation of {lookups, evaluations,
     #: candidates_generated, evaluations_pruned} — one stats object can
@@ -93,6 +105,32 @@ class Phase1Stats:
         row["candidates_generated"] += candidates_generated
         row["evaluations_pruned"] += evaluations_pruned
         row["kernel_evaluations"] += kernel_evaluations
+
+    def add_run(
+        self,
+        name: str,
+        *,
+        lookups: int,
+        seconds: float,
+        counters: dict[str, int],
+        substages: "dict[str, float] | None" = None,
+    ) -> None:
+        """Accumulate one driver run: lookups, wall time, work counters
+        (:data:`WORK_COUNTERS` deltas), sub-stage times, and the
+        per-index row."""
+        self.lookups += lookups
+        self.seconds += seconds
+        for counter in WORK_COUNTERS:
+            setattr(self, counter, getattr(self, counter) + counters.get(counter, 0))
+        self.add_substages(substages)
+        self.credit_index(
+            name,
+            lookups=lookups,
+            evaluations=counters.get("evaluations", 0),
+            candidates_generated=counters.get("candidates_generated", 0),
+            evaluations_pruned=counters.get("evaluations_pruned", 0),
+            kernel_evaluations=counters.get("kernel_evaluations", 0),
+        )
 
     def add_substages(self, delta: "dict[str, float] | None") -> None:
         """Accumulate a sub-stage wall-time delta into this object."""
@@ -170,6 +208,88 @@ def _substage_delta(
     return {name: seconds for name, seconds in delta.items() if seconds > 0.0}
 
 
+#: The index work counters a Phase-1 run is metered by.
+WORK_COUNTERS = (
+    "evaluations",
+    "cache_hits",
+    "cache_misses",
+    "candidates_generated",
+    "evaluations_pruned",
+    "kernel_evaluations",
+)
+
+
+class PhaseMeter:
+    """The work and wall time an index accrues from construction on.
+
+    Every Phase-1 driver meters through one of these: snapshot at the
+    start, :meth:`counters` / :meth:`substages` as deltas, and
+    :meth:`record` to fold the run into a :class:`Phase1Stats`.
+    """
+
+    def __init__(self, index: NNIndex) -> None:
+        self.index = index
+        self.started = time.perf_counter()
+        self._counters = {
+            name: getattr(index, name, 0) for name in WORK_COUNTERS
+        }
+        self._substages = _substage_snapshot(index)
+
+    def counters(self) -> dict[str, int]:
+        return {
+            name: getattr(self.index, name, 0) - before
+            for name, before in self._counters.items()
+        }
+
+    def substages(self) -> dict[str, float]:
+        return _substage_delta(self.index, self._substages)
+
+    def record(self, stats: "Phase1Stats | None", lookups: int) -> None:
+        """Add this run to ``stats``, crediting the untimed rest to ``drive``."""
+        if stats is None:
+            return
+        seconds = time.perf_counter() - self.started
+        substages = self.substages()
+        # The driver's own ordering and result assembly, attributed
+        # explicitly so the timers account for the full wall time.  Can
+        # go non-positive when thread-pool workers accrue concurrently
+        # on the shared index; skip the entry then.
+        drive = seconds - sum(substages.values())
+        if drive > 0.0:
+            substages["drive"] = drive
+        stats.add_run(
+            self.index.name,
+            lookups=lookups,
+            seconds=seconds,
+            counters=self.counters(),
+            substages=substages,
+        )
+
+
+def cut_shape(params: DEParams) -> tuple[int | None, float | None]:
+    """Translate a cut specification into the ``phase1_batch`` query shape."""
+    if isinstance(params.cut, SizeCut):
+        return params.cut.k, None
+    if isinstance(params.cut, CombinedCut):
+        # The K nearest neighbors within radius theta: both bounds hold.
+        return params.cut.k, params.theta
+    return None, params.theta
+
+
+def lookup_order(relation: Relation, order: str, order_seed: int = 0) -> list[int]:
+    """The rid sequence the batch drivers chunk.
+
+    ``"bf"`` chunks the scan of ``R`` that seeds the online BF traversal
+    (relation order, like ``"sequential"``); ``"random"`` is a seeded
+    permutation.
+    """
+    if order == "random":
+        return random_order(relation, seed=order_seed)
+    if order in ("bf", "sequential"):
+        return sequential_order(relation)
+    raise ValueError(f"unknown lookup order {order!r}")
+
+
 def _fetch(
     index: NNIndex, relation: Relation, rid: int, params: DEParams
 ) -> Sequence[Neighbor]:
@@ -178,12 +298,11 @@ def _fetch(
     started = time.perf_counter()
     record = relation.get(rid)
     index._credit_substage("candidates", time.perf_counter() - started)
-    if isinstance(params.cut, SizeCut):
-        return index.knn(record, params.cut.k)
-    if isinstance(params.cut, CombinedCut):
-        # The K nearest neighbors within radius theta: both bounds hold.
-        return index.within(record, params.theta)[: params.cut.k]
-    return index.within(record, params.theta)
+    k, theta = cut_shape(params)
+    if theta is None:
+        return index.knn(record, k)
+    neighbors = index.within(record, theta)
+    return neighbors if k is None else neighbors[:k]
 
 
 def prepare_nn_lists(
@@ -200,6 +319,14 @@ def prepare_nn_lists(
     rids: Sequence[int] | None = None,
 ) -> NNRelation:
     """Materialize the NN relation for a DE problem instance.
+
+    Every entry is a pure function of (relation, distance, cut), so the
+    lookup order cannot change the result.  Indexes with a columnar
+    pass (:attr:`NNIndex.columnar_phase1`) are answered by one chunked
+    :meth:`NNIndex.phase1_batch` driver, where ``order`` only sets the
+    chunk order.  Every other index keeps the paper's online per-query
+    traversal, in O(1) extra memory; for a paged index the order
+    decides its buffer locality (Figure 8).
 
     Parameters
     ----------
@@ -225,23 +352,24 @@ def prepare_nn_lists(
         the linear ``p * nn(v)`` neighborhood in the NG computation
         (the non-linear extension the paper's section 2 permits).
     n_workers:
-        With ``n_workers > 1`` the computation is delegated to
-        :class:`~repro.parallel.engine.ParallelNNEngine`: the lookup
-        order is split into contiguous chunks answered through the
-        index's batch API over a worker pool, producing a result
-        identical to this sequential path for any worker count.
+        With ``n_workers > 1`` the chunks are answered over a worker
+        pool by :class:`~repro.parallel.engine.ParallelNNEngine`,
+        producing a result identical to this path for any worker count.
     pool:
         Worker pool kind for the parallel path: ``"thread"`` or
         ``"process"``.
     chunk_size:
-        Optional fixed chunk length for the parallel path.
+        Optional fixed chunk length for the batch drivers; by default a
+        columnar index answers the whole order in one ``phase1_batch``
+        call (it bounds its own scratch) and other indexes answer rid
+        subsets in chunks of 256.
     rids:
         Optional subset of record ids to compute entries for.  Queries
         still run against the *full* index, so each returned entry is
         exactly the entry a whole-relation run would produce for that
         rid — the contract the sharded runner's exact merge relies on.
-        The subset is answered through :meth:`NNIndex.phase1_batch` in
-        ascending-rid chunks (``order``/``n_workers`` do not apply).
+        The subset is answered in ascending-rid chunks (``order`` and
+        ``n_workers`` do not apply).
     """
     if index.relation is not relation:
         raise ValueError("index was not built over the given relation")
@@ -249,10 +377,9 @@ def prepare_nn_lists(
         raise ValueError("n_workers must be at least 1")
 
     if rids is not None:
-        return _subset_nn_lists(
+        return _batch_nn_lists(
             relation, index, params, sorted(rids),
-            stats=stats, radius_fn=radius_fn,
-            chunk_size=chunk_size,
+            stats=stats, radius_fn=radius_fn, chunk_size=chunk_size,
         )
 
     if n_workers > 1:
@@ -272,16 +399,34 @@ def prepare_nn_lists(
             radius_fn=radius_fn,
         )
 
+    if index.columnar_phase1:
+        return _batch_nn_lists(
+            relation, index, params, lookup_order(relation, order, order_seed),
+            stats=stats, radius_fn=radius_fn, chunk_size=chunk_size,
+        )
+    return _online_nn_lists(
+        relation, index, params, order, order_seed, stats, radius_fn
+    )
+
+
+def _online_nn_lists(
+    relation: Relation,
+    index: NNIndex,
+    params: DEParams,
+    order: str,
+    order_seed: int,
+    stats: Phase1Stats | None,
+    radius_fn,
+) -> NNRelation:
+    """One probe per record, in the paper's online order.
+
+    Under ``"bf"`` each lookup's neighbors decide which records are
+    probed next (Figure 5), so consecutive probes of a paged index
+    touch the same pages — the buffer locality Figure 8 measures.
+    Probes only read the index's pair cache, so memory stays O(1).
+    """
     nn_relation = NNRelation()
-    started = time.perf_counter()
-    evaluations_before = index.evaluations
-    hits_before = getattr(index, "cache_hits", 0)
-    misses_before = getattr(index, "cache_misses", 0)
-    candidates_before = getattr(index, "candidates_generated", 0)
-    pruned_before = getattr(index, "evaluations_pruned", 0)
-    kernel_before = getattr(index, "kernel_evaluations", 0)
-    substages_before = _substage_snapshot(index)
-    lookups_before = stats.lookups if stats is not None else 0
+    meter = PhaseMeter(index)
 
     def lookup(rid: int) -> Sequence[Neighbor]:
         neighbors = _fetch(index, relation, rid, params)
@@ -297,56 +442,19 @@ def prepare_nn_lists(
             radius_fn=radius_fn,
         )
         nn_relation.add(NNEntry(rid=rid, neighbors=tuple(neighbors), ng=ng))
-        if stats is not None:
-            stats.lookups += 1
         return neighbors
 
     if order == "bf":
         for _ in breadth_first_order(relation, lookup):
             pass
     else:
-        ids = (
-            random_order(relation, seed=order_seed)
-            if order == "random"
-            else sequential_order(relation)
-        )
-        for rid in ids:
+        for rid in lookup_order(relation, order, order_seed):
             lookup(rid)
-
-    if stats is not None:
-        evaluations = index.evaluations - evaluations_before
-        candidates = getattr(index, "candidates_generated", 0) - candidates_before
-        pruned = getattr(index, "evaluations_pruned", 0) - pruned_before
-        kernel = getattr(index, "kernel_evaluations", 0) - kernel_before
-        loop_seconds = time.perf_counter() - started
-        stats.seconds += loop_seconds
-        stats.evaluations += evaluations
-        stats.cache_hits += getattr(index, "cache_hits", 0) - hits_before
-        stats.cache_misses += getattr(index, "cache_misses", 0) - misses_before
-        stats.candidates_generated += candidates
-        stats.evaluations_pruned += pruned
-        stats.kernel_evaluations += kernel
-        substages = _substage_delta(index, substages_before)
-        # The loop's own traversal order + result assembly, attributed
-        # explicitly so the timers account for the full wall time.  Can
-        # go non-positive when thread-pool workers accrue concurrently
-        # on the shared index; skip the entry then.
-        drive = loop_seconds - sum(substages.values())
-        if drive > 0.0:
-            substages["drive"] = drive
-        stats.add_substages(substages)
-        stats.credit_index(
-            index.name,
-            lookups=stats.lookups - lookups_before,
-            evaluations=evaluations,
-            candidates_generated=candidates,
-            evaluations_pruned=pruned,
-            kernel_evaluations=kernel,
-        )
+    meter.record(stats, lookups=len(nn_relation))
     return nn_relation
 
 
-def _subset_nn_lists(
+def _batch_nn_lists(
     relation: Relation,
     index: NNIndex,
     params: DEParams,
@@ -355,78 +463,34 @@ def _subset_nn_lists(
     radius_fn=None,
     chunk_size: int | None = None,
 ) -> NNRelation:
-    """Compute entries for a rid subset against the full index.
+    """Answer ``rids`` in chunks through :meth:`NNIndex.phase1_batch`.
 
-    The cut dispatch maps onto :meth:`NNIndex.phase1_batch`'s query
-    shape exactly as ``_fetch`` does (``k`` = size cut, ``theta`` =
-    diameter cut, both = combined cut), so each entry is bit-identical
-    to the sequential whole-relation path's entry for the same rid.
-    Chunking bounds the batch pair cache while still amortizing the
-    index's blocked evaluation across neighbors within a chunk.
+    The cut dispatch maps onto ``phase1_batch``'s query shape exactly
+    as :func:`_fetch` does, so each entry is bit-identical to the
+    per-query entry for the same rid, whatever the chunking.
     """
-    if isinstance(params.cut, SizeCut):
-        k, theta = params.cut.k, None
-    elif isinstance(params.cut, CombinedCut):
-        k, theta = params.cut.k, params.theta
-    else:
-        k, theta = None, params.theta
-
+    k, theta = cut_shape(params)
     nn_relation = NNRelation()
-    started = time.perf_counter()
-    evaluations_before = index.evaluations
-    hits_before = getattr(index, "cache_hits", 0)
-    misses_before = getattr(index, "cache_misses", 0)
-    candidates_before = getattr(index, "candidates_generated", 0)
-    pruned_before = getattr(index, "evaluations_pruned", 0)
-    kernel_before = getattr(index, "kernel_evaluations", 0)
-    substages_before = _substage_snapshot(index)
-    lookups_before = stats.lookups if stats is not None else 0
-
-    size = chunk_size if chunk_size and chunk_size > 0 else 256
+    meter = PhaseMeter(index)
+    if chunk_size and chunk_size > 0:
+        size = chunk_size
+    elif index.columnar_phase1:
+        size = max(1, len(rids))
+    else:
+        # The generic batch holds its pair cache for a whole call.
+        size = 256
     for start in range(0, len(rids), size):
-        chunk = rids[start : start + size]
         fetch_started = time.perf_counter()
-        records = [relation.get(rid) for rid in chunk]
+        records = [relation.get(rid) for rid in rids[start : start + size]]
         index._credit_substage(
             "candidates", time.perf_counter() - fetch_started
         )
         batch = index.phase1_batch(
             records, k=k, theta=theta, p=params.p, radius_fn=radius_fn
         )
-        for rid, (neighbors, ng) in zip(chunk, batch):
+        for record, (neighbors, ng) in zip(records, batch):
             nn_relation.add(
-                NNEntry(rid=rid, neighbors=tuple(neighbors), ng=ng)
+                NNEntry(rid=record.rid, neighbors=tuple(neighbors), ng=ng)
             )
-            if stats is not None:
-                stats.lookups += 1
-
-    if stats is not None:
-        evaluations = index.evaluations - evaluations_before
-        candidates = getattr(index, "candidates_generated", 0) - candidates_before
-        pruned = getattr(index, "evaluations_pruned", 0) - pruned_before
-        kernel = getattr(index, "kernel_evaluations", 0) - kernel_before
-        loop_seconds = time.perf_counter() - started
-        stats.seconds += loop_seconds
-        stats.evaluations += evaluations
-        stats.cache_hits += getattr(index, "cache_hits", 0) - hits_before
-        stats.cache_misses += getattr(index, "cache_misses", 0) - misses_before
-        stats.candidates_generated += candidates
-        stats.evaluations_pruned += pruned
-        stats.kernel_evaluations += kernel
-        substages = _substage_delta(index, substages_before)
-        # See prepare_nn_lists: the chunk loop's own bookkeeping,
-        # attributed explicitly (skipped when concurrent accrual on a
-        # shared index makes the remainder non-positive).
-        drive = loop_seconds - sum(substages.values())
-        if drive > 0.0:
-            substages["drive"] = drive
-        stats.add_substages(substages)
-        stats.credit_index(
-            index.name,
-            lookups=stats.lookups - lookups_before,
-            evaluations=evaluations,
-            candidates_generated=candidates,
-            evaluations_pruned=pruned,
-            kernel_evaluations=kernel,
-        )
+    meter.record(stats, lookups=len(rids))
     return nn_relation

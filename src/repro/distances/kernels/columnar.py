@@ -85,6 +85,7 @@ class ColumnarVectors:
         self._pvals = None
         self._rid_table = None
         self._rid_table_built = False
+        self._entry_keys = None
 
     def __len__(self) -> int:
         return len(self.rid_list)
@@ -140,6 +141,45 @@ class ColumnarVectors:
         if rows.min() < 0:
             return None
         return rows
+
+    def pair_matches(self, rows_a, rows_b):
+        """One global CSR gather matching ``rows_b``'s tokens into ``rows_a``.
+
+        For pairs ``(rows_a[j], rows_b[j])`` returns ``(seg, flat,
+        match)`` over the concatenation of every ``rows_b[j]`` CSR
+        segment: ``seg`` is the entry's pair index ``j``, ``flat`` its
+        position in ``indices``/``values``, and ``match`` the position of
+        the same token in row ``rows_a[j]`` (``-1`` when absent).  Each
+        pair's entries stay in ascending token order — the order the
+        per-query subset gather and the scalar merge-join use.  Lookups
+        go through one sorted ``row * n_vocab + token`` key per stored
+        entry, so the whole block is a single ``searchsorted``.
+        """
+        np = self._np
+        if self._entry_keys is None:
+            rows = np.repeat(
+                np.arange(len(self.rid_list), dtype=np.int64), self.row_sizes
+            )
+            self._entry_keys = rows * max(1, self.n_vocab) + self.indices
+        keys = self._entry_keys
+        starts = self.indptr[rows_b]
+        lengths = self.indptr[rows_b + 1] - starts
+        total = int(lengths.sum())
+        seg = np.repeat(np.arange(len(rows_b), dtype=np.int64), lengths)
+        offs = np.cumsum(lengths) - lengths
+        flat = (
+            np.arange(total, dtype=np.int64)
+            - np.repeat(offs, lengths)
+            + np.repeat(starts, lengths)
+        )
+        probe = rows_a[seg] * max(1, self.n_vocab) + self.indices[flat]
+        match = np.searchsorted(keys, probe)
+        # Probes past the last key clamp to 0; the equality test below
+        # then fails, as it must.
+        match[match == len(keys)] = 0
+        if total:
+            match[keys[match] != probe] = -1
+        return seg, flat, match
 
     def postings(self):
         """CSC view ``(pindptr, prows, pvals)``; built on first use."""

@@ -107,6 +107,35 @@ class CosineKernel(DistanceKernel):
         )
         return np.where(dot == 0.0, 1.0, np.clip(1.0 - sim, 0.0, 1.0))
 
+    def pair_distances(self, rows_a, rows_b):
+        """Distances of the row pairs ``(rows_a[j], rows_b[j])``.
+
+        Bit-identical to ``pairs_array`` in either direction: each
+        pair's dot product is a sequential ``bincount`` of the shared
+        tokens' weight products in ascending token order (products
+        commute exactly, zero-weight misses add nothing), and the norm
+        product is the same two-factor multiply.
+        """
+        np = self._np
+        v = self._v
+        seg, flat, match = v.pair_matches(rows_a, rows_b)
+        dot = np.zeros(len(rows_a), dtype=np.float64)
+        if len(seg):
+            a_vals = np.where(match >= 0, v.values[match], 0.0)
+            dot = np.bincount(
+                seg, weights=v.values[flat] * a_vals, minlength=len(rows_a)
+            )
+        self.evaluations += len(rows_a)
+        denom = self._norms[rows_b] * self._norms[rows_a]
+        sim = np.divide(
+            dot, denom, out=np.zeros_like(dot), where=denom > 0.0
+        )
+        return np.where(dot == 0.0, 1.0, np.clip(1.0 - sim, 0.0, 1.0))
+
+    def rows_of(self, rids):
+        """Kernel rows of ``rids`` (int64 array), or ``None`` on a miss."""
+        return self._v.resolve_rows(rids)
+
     def resolve_rows(self, query_rid: int, rids: Sequence[int]):
         """``(query_row, candidate rows array)`` or ``None`` on a miss.
 

@@ -100,6 +100,31 @@ class JaccardKernel(DistanceKernel):
         sim = inter / denom
         return np.clip(1.0 - sim, 0.0, 1.0)
 
+    def pair_distances(self, rows_a, rows_b):
+        """Distances of the row pairs ``(rows_a[j], rows_b[j])``.
+
+        Intersection and union sizes are integers and symmetric, so the
+        result is bit-identical to ``pairs_array`` in either direction.
+        """
+        np = self._np
+        seg, _, match = self._v.pair_matches(rows_a, rows_b)
+        inter = np.bincount(seg[match >= 0], minlength=len(rows_a))
+        self.evaluations += len(rows_a)
+        size_a = self._sizes[rows_a]
+        size_b = self._sizes[rows_b]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sim = inter / (size_b + (size_a - inter))
+        out = np.clip(1.0 - sim, 0.0, 1.0)
+        # Scalar semantics for empty sets: both empty -> distance 0,
+        # one empty -> distance 1.
+        empty = size_a == 0
+        out[empty] = np.where(size_b[empty] == 0, 0.0, 1.0)
+        return out
+
+    def rows_of(self, rids):
+        """Kernel rows of ``rids`` (int64 array), or ``None`` on a miss."""
+        return self._v.resolve_rows(rids)
+
     def resolve_rows(self, query_rid: int, rids: Sequence[int]):
         """``(query_row, candidate rows array)`` or ``None`` on a miss.
 

@@ -144,6 +144,11 @@ class NNIndex(abc.ABC):
         """
         if mode not in ("python", "auto", "numpy"):
             raise ValueError(f"unknown kernel mode: {mode!r}")
+        if mode == self.kernel_mode and self._kernel is not None:
+            # Already resolved: shard pipelines re-announce the mode on
+            # a shared built index, and swapping its kernel under
+            # concurrent readers would rebuild it for nothing.
+            return
         self.kernel_mode = mode
         if self.relation is not None and self.distance is not None:
             self._resolve_kernel()
@@ -168,6 +173,17 @@ class NNIndex(abc.ABC):
     def kernel_backend(self) -> str:
         """Backend actually answering batch queries ("python" = scalar)."""
         return self._kernel.backend if self._kernel is not None else "python"
+
+    @property
+    def columnar_phase1(self) -> bool:
+        """Whether :meth:`phase1_batch` answers a whole relation in one
+        pass with bounded scratch memory.
+
+        Phase 1 then runs as one batch call instead of one probe per
+        record.  ``False`` by default: the generic batch keeps its pair
+        cache (and per-query memos) alive for the whole call.
+        """
+        return False
 
     @abc.abstractmethod
     def _build(self) -> None:

@@ -126,14 +126,18 @@ class MinHashIndex(NNIndex):
         #: path for in-relation lookups.
         self._row_of: dict[int, int] = {}
         self._row_buckets: list[list[list[int]]] = []
-        #: numpy twin of ``_row_buckets`` (int64 member views) when the
-        #: grouping ran on the numpy backend: probes union bands with
-        #: ``np.unique`` instead of per-member python set inserts.
-        self._row_bucket_arrays = None
+        #: Columnar twin of ``_row_buckets`` when the grouping ran on the
+        #: numpy backend: per band ``(order, bounds, bucket_of)`` arrays
+        #: (see :class:`~repro.index.signatures.BandGrouping`).  Probes
+        #: and the batch candidate expansion of :meth:`phase1_batch` are
+        #: gathers over these.
+        self._band_columns = None
         #: Relation rids in relation order (numpy int64 when available),
         #: backing the vectorized exhaustive-fallback extension.
         self._rid_array = None
         self._relation_signatures: RelationSignatures | None = None
+        #: ``(kernel, relation row -> kernel row)`` for the columnar pass.
+        self._kernel_rows = None
 
     def __getstate__(self) -> dict:
         # The columnar signature batch (with its (n, n_hashes) matrix)
@@ -141,6 +145,7 @@ class MinHashIndex(NNIndex):
         # lookups never touch it, so process-pool workers skip the copy.
         state = super().__getstate__()
         state["_relation_signatures"] = None
+        state["_kernel_rows"] = None
         return state
 
     def _elements(self, record: Record) -> list[str]:
@@ -191,7 +196,7 @@ class MinHashIndex(NNIndex):
         self._buckets = grouping.buckets
         self._row_of = {rid: i for i, rid in enumerate(rids)}
         self._row_buckets = grouping.row_buckets
-        self._row_bucket_arrays = grouping.row_bucket_arrays
+        self._band_columns = grouping.band_columns
         np = numpy_or_none()
         self._rid_array = (
             np.asarray(rids, dtype=np.int64) if np is not None else None
@@ -221,15 +226,18 @@ class MinHashIndex(NNIndex):
         row = self._row_of.get(record.rid)
         seen: set[int] = set()
         if row is not None:
-            arrays = self._row_bucket_arrays
-            if arrays is not None:
+            columns = self._band_columns
+            if columns is not None:
                 # In-relation numpy probe: union the bands' member
-                # views with one C-level sort instead of per-member
+                # slices with one C-level sort instead of per-member
                 # python set inserts.
                 np = numpy_or_none()
-                merged = np.unique(
-                    np.concatenate([band_rows[row] for band_rows in arrays])
-                )
+                members = [
+                    order[bounds[g] : bounds[g + 1]]
+                    for order, bounds, bucket_of in columns
+                    for g in (bucket_of[row],)
+                ]
+                merged = np.unique(self._rid_array[np.concatenate(members)])
                 return merged[merged != record.rid]
             # In-relation probe: no hashing, no key lookups — each
             # band's bucket member list is already resolved per row.
@@ -330,3 +338,318 @@ class MinHashIndex(NNIndex):
         ]
         hits.sort()
         return hits
+
+    def neighborhood_growth(
+        self,
+        record: Record,
+        p: float = 2.0,
+        nn_distance: float | None = None,
+        radius_fn=None,
+    ) -> int:
+        """``ng(v)`` over the LSH candidates (see the base class).
+
+        The range count only ever sees LSH candidates, so a record with
+        none has ``ng = 1`` whatever its true nearest neighbor is; it
+        returns 1 at once instead of running the 1-NN probe, whose
+        exhaustive fallback would scan the whole relation for nothing.
+        """
+        if nn_distance is None:
+            started = time.perf_counter()
+            lonely = len(self._candidates(record)) == 0
+            self._credit_substage("candidates", time.perf_counter() - started)
+            if lonely:
+                return 1
+        return super().neighborhood_growth(
+            record, p=p, nn_distance=nn_distance, radius_fn=radius_fn
+        )
+
+    # ------------------------------------------------------------------
+    # Columnar Phase 1
+    # ------------------------------------------------------------------
+
+    #: Directed (query, band member) entries one query block of
+    #: :meth:`phase1_batch` may expand; bounds the pass's scratch memory.
+    _EXPAND_BUDGET = 1 << 20
+    #: Unordered pairs handed to the kernel per call.
+    _PAIR_BLOCK = 1 << 16
+
+    def phase1_batch(
+        self,
+        records,
+        k: int | None = None,
+        theta: float | None = None,
+        p: float = 2.0,
+        radius_fn=None,
+    ) -> list[tuple[list[Neighbor], int]]:
+        """Every record's cut neighbor list and NG in one columnar pass.
+
+        Per query block: the in-relation candidate pairs are expanded
+        straight from the build's band columns (one repeat/arange gather
+        per band), each unordered pair is evaluated once through the
+        kernel, and one ``(query, distance, rid)`` lexsort yields the
+        cut lists, ``nn(v)`` and ``ng(v)`` by segment operations.  The
+        result is entry-for-entry the per-record ``knn``/``within`` +
+        :meth:`neighborhood_growth` sequence; indexes without the numpy
+        band columns or a batch kernel take exactly that sequence.
+
+        Counters: ``candidates_generated`` grows by one per (query,
+        candidate), ``kernel_evaluations`` by one per unordered pair
+        evaluated in a query block (a whole call at moderate sizes), and
+        ``evaluations_pruned`` by the relation pairs never examined.
+        """
+        if k is None and theta is None:
+            raise ValueError("phase1_batch needs k, theta, or both")
+        # Read the kernel once: every evaluation of this call uses it.
+        kernel = self._kernel
+        evaluate = None
+        if k is None or k > 0:
+            evaluate = self._pair_evaluator(kernel)
+        rows = self._query_rows(records) if evaluate is not None else None
+        if rows is None or len(rows) == 0:
+            return super().phase1_batch(
+                records, k=k, theta=theta, p=p, radius_fn=radius_fn
+            )
+        results: list[tuple[list[Neighbor], int]] = []
+        for block in self._query_blocks(rows):
+            results.extend(
+                self._phase1_block(block, kernel, evaluate, k, theta, p, radius_fn)
+            )
+        return results
+
+    @property
+    def columnar_phase1(self) -> bool:
+        """True with numpy band columns and a batch kernel over the relation."""
+        return (
+            self._band_columns is not None
+            and self._pair_evaluator(self._kernel) is not None
+        )
+
+    def _query_rows(self, records):
+        """Relation rows of ``records`` (int64), or ``None`` if any is foreign."""
+        if self._band_columns is None:
+            return None
+        row_of = self._row_of
+        rows = [row_of.get(record.rid) for record in records]
+        if any(row is None for row in rows):
+            return None
+        np = numpy_or_none()
+        return np.asarray(rows, dtype=np.int64)
+
+    def _pair_evaluator(self, kernel):
+        """``f(rows_a, rows_b) -> distances`` over relation rows, or ``None``.
+
+        Kernels with a ``pair_distances`` method evaluate a whole pair
+        block at once; other kernels answer one call per distinct left
+        row.  ``None`` (no kernel, or a relation the kernel does not
+        cover) keeps the per-record path.
+        """
+        if (
+            kernel is None
+            or self._rid_array is None
+            or len(kernel.rids) != len(self._rid_array)
+        ):
+            return None
+        np = numpy_or_none()
+        pair_distances = getattr(kernel, "pair_distances", None)
+        if pair_distances is not None:
+            cached = self._kernel_rows
+            if cached is None or cached[0] is not kernel:
+                cached = (kernel, kernel.rows_of(self._rid_array))
+                self._kernel_rows = cached
+            kernel_rows = cached[1]
+            if kernel_rows is None:
+                return None
+            return lambda a, b: pair_distances(kernel_rows[a], kernel_rows[b])
+
+        def by_left_row(a, b):
+            out = np.empty(len(a), dtype=np.float64)
+            heads = np.flatnonzero(np.diff(a, prepend=-1, append=-1))
+            for lo, hi in zip(heads[:-1].tolist(), heads[1:].tolist()):
+                out[lo:hi] = self._row_distances(kernel, int(a[lo]), b[lo:hi])
+            return out
+
+        return by_left_row
+
+    def _row_distances(self, kernel, row, candidates):
+        """Distances from one relation row to candidate rows (one kernel call)."""
+        np = numpy_or_none()
+        query_rid = int(self._rid_array[row])
+        rids = self._rid_array[candidates]
+        resolver = getattr(kernel, "resolve_rows", None)
+        if resolver is not None and hasattr(kernel, "pairs_array"):
+            query_row, rows = resolver(query_rid, rids)
+            return kernel.pairs_array(
+                query_rid, rids, rows=rows, query_row=query_row
+            )
+        return np.asarray(kernel.pairs(query_rid, rids.tolist()), dtype=np.float64)
+
+    def _evaluate_pairs(self, evaluate, a, b):
+        """Distances of relation-row pairs, in bounded kernel blocks."""
+        np = numpy_or_none()
+        started = time.perf_counter()
+        out = np.empty(len(a), dtype=np.float64)
+        for lo in range(0, len(a), self._PAIR_BLOCK):
+            hi = lo + self._PAIR_BLOCK
+            out[lo:hi] = evaluate(a[lo:hi], b[lo:hi])
+        self.kernel_evaluations += len(a)
+        self._credit_substage("verify", time.perf_counter() - started)
+        return out
+
+    def _query_blocks(self, rows):
+        """Split query rows into runs of at most ~``_EXPAND_BUDGET`` entries."""
+        np = numpy_or_none()
+        sizes = np.zeros(len(rows), dtype=np.int64)
+        for _, bounds, bucket_of in self._band_columns:
+            bucket = bucket_of[rows]
+            sizes += bounds[bucket + 1] - bounds[bucket]
+        block_of = (np.cumsum(sizes) - sizes) // self._EXPAND_BUDGET
+        cuts = np.flatnonzero(np.diff(block_of)) + 1
+        return np.split(rows, cuts)
+
+    def _expand_candidates(self, rows):
+        """Unique ``(query position, candidate row)`` pairs of a block.
+
+        Sorted by query position, then candidate row; self pairs dropped.
+        """
+        np = numpy_or_none()
+        queries = []
+        members = []
+        positions = np.arange(len(rows), dtype=np.int64)
+        for order, bounds, bucket_of in self._band_columns:
+            bucket = bucket_of[rows]
+            starts = bounds[bucket]
+            counts = bounds[bucket + 1] - starts
+            offsets = np.cumsum(counts) - counts
+            flat = (
+                np.arange(int(counts.sum()), dtype=np.int64)
+                - np.repeat(offsets, counts)
+                + np.repeat(starts, counts)
+            )
+            members.append(order[flat])
+            queries.append(np.repeat(positions, counts))
+        query = np.concatenate(queries)
+        member = np.concatenate(members)
+        keep = member != rows[query]
+        n = len(self._rid_array)
+        keys = np.sort(query[keep] * n + member[keep])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return keys // n, keys % n
+
+    def _phase1_block(self, rows, kernel, evaluate, k, theta, p, radius_fn):
+        """``(neighbors, ng)`` for one query block (see :meth:`phase1_batch`)."""
+        np = numpy_or_none()
+        n = len(self._rid_array)
+        m = len(rows)
+        started = time.perf_counter()
+        query, member = self._expand_candidates(rows)
+        # Each unordered pair once: canonical (low row, high row) keys.
+        left = rows[query]
+        pair_keys, pair_of = np.unique(
+            np.minimum(left, member) * n + np.maximum(left, member),
+            return_inverse=True,
+        )
+        self._credit_substage("candidates", time.perf_counter() - started)
+        distance = self._evaluate_pairs(
+            evaluate, pair_keys // n, pair_keys % n
+        )[pair_of.reshape(-1)]
+        in_lsh = np.ones(len(query), dtype=bool)
+        examined = len(query)
+        if theta is None and self.exhaustive_fallback:
+            # Size cut: queries with fewer than k LSH candidates extend
+            # to the rest of the relation, as ``knn`` does.
+            lsh_counts = np.bincount(query, minlength=m)
+            short = np.flatnonzero(lsh_counts < min(k, n - 1))
+            if len(short):
+                ext_query, ext_member, ext_distance, scanned = (
+                    self._fallback_extension(kernel, rows, query, member, short, k)
+                )
+                examined += scanned
+                query = np.concatenate((query, ext_query))
+                member = np.concatenate((member, ext_member))
+                distance = np.concatenate((distance, ext_distance))
+                in_lsh = np.concatenate(
+                    (in_lsh, np.zeros(len(ext_query), dtype=bool))
+                )
+        self.candidates_generated += examined
+        self.evaluations_pruned += m * (n - 1) - examined
+
+        # Cut lists: each query's (distance, rid)-smallest candidates
+        # within theta, the first k of its run.  Only entries that can
+        # enter a list (all of them under a size cut) are sorted.
+        pool = (
+            np.arange(len(query)) if theta is None
+            else np.flatnonzero(distance < theta)
+        )
+        rid = self._rid_array[member[pool]]
+        order = np.lexsort((rid, distance[pool], query[pool]))
+        listed = query[pool][order]
+        if k is not None:
+            rank = np.arange(len(listed)) - np.searchsorted(listed, listed)
+            order = order[rank < k]
+            listed = listed[rank < k]
+        neighbors: list[list[Neighbor]] = [[] for _ in range(m)]
+        for q, d, r in zip(
+            listed.tolist(),
+            distance[pool][order].tolist(),
+            rid[order].tolist(),
+        ):
+            neighbors[q].append(Neighbor(d, r))
+
+        # NG: nn(v) is the smallest candidate distance (the cut list's
+        # first entry when there is one, else the 1-NN over the LSH
+        # candidates); the range count sees LSH candidates only.  No
+        # candidates: ng = 1.
+        nn = np.full(m, np.inf)
+        np.minimum.at(nn, query, distance)
+        if radius_fn is None:
+            radius = p * nn
+        else:
+            radius = np.array(
+                [radius_fn(x) if 0.0 < x < np.inf else 0.0 for x in nn.tolist()],
+                dtype=np.float64,
+            )
+        inside = in_lsh & (
+            (distance < radius[query])
+            | ((nn[query] == 0.0) & (distance == 0.0))
+        )
+        ng = 1 + np.bincount(query[inside], minlength=m)
+        return list(zip(neighbors, ng.tolist()))
+
+    def _fallback_extension(self, kernel, rows, query, member, short, k):
+        """Exhaustive-fallback entries for under-filled size-cut queries.
+
+        Each short query scans every relation row it has not already
+        got; only its ``k`` smallest ``(distance, rid)`` extension
+        entries can reach the cut list (and ``nn(v)`` is among them), so
+        just those are kept — scratch memory stays O(n) per query.
+        Returns ``(positions, rows, distances, rows scanned)``.
+        """
+        np = numpy_or_none()
+        n = len(self._rid_array)
+        positions, members, distances = [], [], []
+        scanned = 0
+        # ``query`` is sorted, so each query's LSH run is one slice.
+        heads = np.searchsorted(query, short)
+        tails = np.searchsorted(query, short, side="right")
+        for q, lo, hi in zip(short.tolist(), heads.tolist(), tails.tolist()):
+            started = time.perf_counter()
+            taken = np.zeros(n, dtype=bool)
+            taken[member[lo:hi]] = True
+            taken[rows[q]] = True
+            rest = np.flatnonzero(~taken)
+            self._credit_substage("candidates", time.perf_counter() - started)
+            started = time.perf_counter()
+            d = self._row_distances(kernel, int(rows[q]), rest)
+            self.kernel_evaluations += len(rest)
+            self._credit_substage("verify", time.perf_counter() - started)
+            best = np.lexsort((self._rid_array[rest], d))[:k]
+            positions.append(np.full(len(best), q, dtype=np.int64))
+            members.append(rest[best])
+            distances.append(d[best])
+            scanned += len(rest)
+        return (
+            np.concatenate(positions),
+            np.concatenate(members),
+            np.concatenate(distances),
+            scanned,
+        )

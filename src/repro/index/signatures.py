@@ -118,17 +118,21 @@ class BandGrouping:
     - ``row_buckets``: per band, row -> member list, the hash-free probe
       path for in-relation candidate lookups.
 
-    ``row_bucket_arrays`` (numpy backend only, else ``None``) mirrors
-    ``row_buckets`` with int64 member *views* into one per-band sorted
-    rid array — zero extra copies, and in-relation probes can union
-    bands with ``np.unique`` instead of python set inserts.
+    ``band_columns`` (numpy backend only, else ``None``) is the columnar
+    twin: per band an ``(order, bounds, bucket_of)`` triple of int64
+    arrays — the rows sorted by bucket, each bucket's ``[bounds[g],
+    bounds[g + 1])`` slice of ``order``, and every row's bucket ordinal.
+    Row ``r``'s band-``b`` bucket members are
+    ``order[bounds[g]:bounds[g + 1]]`` with ``g = bucket_of[r]``, so
+    probes and whole-batch candidate expansion are array gathers with
+    no per-row python objects.
     """
 
     buckets: dict[tuple[int, tuple[int, ...]], list[int]]
     row_keys: list[tuple[tuple[int, tuple[int, ...]], ...]]
     row_buckets: list[list[list[int]]]
     seconds: float = 0.0
-    row_bucket_arrays: list[list] | None = None
+    band_columns: list[tuple] | None = None
 
 
 class SignatureFactory:
@@ -305,12 +309,12 @@ def group_band_buckets(
     buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     per_band_keys: list[list] = []
     row_buckets: list[list[list[int]]] = []
-    row_bucket_arrays: list[list] | None = None
+    band_columns: list[tuple] | None = None
 
     if signatures.matrix is not None and np is not None and n:
         matrix = signatures.matrix
         rid_array = np.asarray(rids, dtype=np.int64)
-        row_bucket_arrays = []
+        band_columns = []
         for band in range(n_bands):
             sub = matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
             # Stable sort: within an equal-key run, relation order is
@@ -322,13 +326,12 @@ def group_band_buckets(
                 heads = np.concatenate(([0], np.flatnonzero(changed) + 1))
             else:
                 heads = np.zeros(1, dtype=np.int64)
-            starts = np.concatenate((heads, [n]))
+            starts = np.concatenate((heads, [n])).astype(np.int64)
             counts = np.diff(starts)
             # row -> bucket ordinal, inverted from the sort positions.
             inverse = np.empty(n, dtype=np.int64)
             inverse[order] = np.repeat(np.arange(len(heads)), counts)
-            ordered_rid_array = rid_array[order]
-            ordered_rids = ordered_rid_array.tolist()
+            ordered_rids = rid_array[order].tolist()
             bounds = starts.tolist()
             # One python tuple per *bucket*, not per (record, band), and
             # one C-speed slice per bucket for its member list.
@@ -340,19 +343,11 @@ def group_band_buckets(
                 ordered_rids[bounds[g] : bounds[g + 1]]
                 for g in range(len(keys))
             ]
-            # Zero-copy int64 twins of the member lists: views into the
-            # band's sorted rid array, for np.unique-based probe unions.
-            bucket_views = [
-                ordered_rid_array[bounds[g] : bounds[g + 1]]
-                for g in range(len(keys))
-            ]
             buckets.update(zip(keys, bucket_lists))
             inverse_list = inverse.tolist()
             per_band_keys.append([keys[g] for g in inverse_list])
             row_buckets.append([bucket_lists[g] for g in inverse_list])
-            row_bucket_arrays.append(
-                [bucket_views[g] for g in inverse_list]
-            )
+            band_columns.append((order.astype(np.int64), starts, inverse))
     else:
         per_band_keys = [[None] * n for _ in range(n_bands)]
         row_buckets = [[None] * n for _ in range(n_bands)]  # type: ignore[list-item]
@@ -373,5 +368,5 @@ def group_band_buckets(
         row_keys=row_keys,
         row_buckets=row_buckets,
         seconds=time.perf_counter() - started,
-        row_bucket_arrays=row_bucket_arrays,
+        band_columns=band_columns,
     )

@@ -39,10 +39,14 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-from repro.core.bforder import random_order
-from repro.core.formulation import CombinedCut, DEParams, SizeCut
+from repro.core.formulation import DEParams
 from repro.core.neighborhood import NNEntry, NNRelation
-from repro.core.nn_phase import _substage_delta, _substage_snapshot
+from repro.core.nn_phase import (
+    WORK_COUNTERS,
+    PhaseMeter,
+    cut_shape,
+    lookup_order,
+)
 from repro.data.schema import Relation
 from repro.index.base import NNIndex
 from repro.parallel.chunking import Chunk, plan_chunks
@@ -78,38 +82,15 @@ class ChunkResult:
     substage_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _cut_shape(params: DEParams) -> tuple[int | None, float | None]:
-    """Translate a cut specification into the ``phase1_batch`` query shape."""
-    if isinstance(params.cut, SizeCut):
-        return params.cut.k, None
-    if isinstance(params.cut, CombinedCut):
-        # The K nearest neighbors within radius theta: both bounds hold.
-        return params.cut.k, params.theta
-    return None, params.theta
-
-
-def _counters(index: NNIndex) -> tuple[int, int, int, int, int, int]:
-    return (
-        index.evaluations,
-        getattr(index, "cache_hits", 0),
-        getattr(index, "cache_misses", 0),
-        getattr(index, "candidates_generated", 0),
-        getattr(index, "evaluations_pruned", 0),
-        getattr(index, "kernel_evaluations", 0),
-    )
-
-
 def _run_chunk(
     index: NNIndex, params: DEParams, chunk: Chunk, radius_fn
 ) -> ChunkResult:
     """Compute the NN entries for one chunk (runs inside a worker)."""
     relation = index.relation
     assert relation is not None
-    started = time.perf_counter()
-    ev0, hit0, miss0, cand0, pruned0, kern0 = _counters(index)
-    substages0 = _substage_snapshot(index)
+    meter = PhaseMeter(index)
     records = [relation.get(rid) for rid in chunk.rids]
-    k, theta = _cut_shape(params)
+    k, theta = cut_shape(params)
     answers = index.phase1_batch(
         records, k=k, theta=theta, p=params.p, radius_fn=radius_fn
     )
@@ -117,19 +98,13 @@ def _run_chunk(
         NNEntry(rid=record.rid, neighbors=tuple(neighbors), ng=ng)
         for record, (neighbors, ng) in zip(records, answers)
     ]
-    ev1, hit1, miss1, cand1, pruned1, kern1 = _counters(index)
     return ChunkResult(
         chunk_index=chunk.index,
         entries=entries,
         lookups=len(records),
-        seconds=time.perf_counter() - started,
-        evaluations=ev1 - ev0,
-        cache_hits=hit1 - hit0,
-        cache_misses=miss1 - miss0,
-        candidates_generated=cand1 - cand0,
-        evaluations_pruned=pruned1 - pruned0,
-        kernel_evaluations=kern1 - kern0,
-        substage_seconds=_substage_delta(index, substages0),
+        seconds=time.perf_counter() - meter.started,
+        substage_seconds=meter.substages(),
+        **meter.counters(),
     )
 
 
@@ -195,18 +170,6 @@ class ParallelNNEngine:
             return plan_chunks(rids, n_chunks=1)
         return plan_chunks(rids, n_chunks=self.n_workers * CHUNKS_PER_WORKER)
 
-    def _resolve_order(
-        self, relation: Relation, order: str, order_seed: int
-    ) -> list[int]:
-        if order == "random":
-            return random_order(relation, seed=order_seed)
-        if order in ("bf", "sequential"):
-            # "bf": the online BF traversal is seeded by the scan of R
-            # (see module docstring); chunking that scan order keeps
-            # each worker contiguous in the relation.
-            return relation.ids()
-        raise ValueError(f"unknown lookup order {order!r}")
-
     def iter_chunk_results(
         self,
         relation: Relation,
@@ -229,30 +192,22 @@ class ParallelNNEngine:
         if index.relation is not relation:
             raise ValueError("index was not built over the given relation")
 
-        rids = self._resolve_order(relation, order, order_seed)
-        chunks = self.plan(rids)
-        started = time.perf_counter()
-        ev0, hit0, miss0, cand0, pruned0, kern0 = _counters(index)
-        substages0 = _substage_snapshot(index)
+        chunks = self.plan(lookup_order(relation, order, order_seed))
+        meter = PhaseMeter(index)
         results: list[ChunkResult] = []
 
         def finalize() -> None:
             if stats is None:
                 return
-            lookups = sum(r.lookups for r in results)
-            stats.lookups += lookups
-            stats.seconds += time.perf_counter() - started
             stats.n_chunks += len(results)
             stats.chunk_seconds.extend(r.seconds for r in results)
             if self.pool == "process" and self.n_workers > 1 and len(chunks) > 1:
                 # Worker processes own private index copies; the parent's
                 # counters never move, so sum the per-chunk deltas.
-                evaluations = sum(r.evaluations for r in results)
-                cache_hits = sum(r.cache_hits for r in results)
-                cache_misses = sum(r.cache_misses for r in results)
-                candidates = sum(r.candidates_generated for r in results)
-                pruned = sum(r.evaluations_pruned for r in results)
-                kernel = sum(r.kernel_evaluations for r in results)
+                counters = {
+                    name: sum(getattr(r, name) for r in results)
+                    for name in WORK_COUNTERS
+                }
                 substages: dict[str, float] = {}
                 for r in results:
                     for name, seconds in r.substage_seconds.items():
@@ -260,28 +215,14 @@ class ParallelNNEngine:
             else:
                 # Shared index: per-chunk deltas interleave across
                 # threads, but the global delta is exact.
-                ev1, hit1, miss1, cand1, pruned1, kern1 = _counters(index)
-                evaluations = ev1 - ev0
-                cache_hits = hit1 - hit0
-                cache_misses = miss1 - miss0
-                candidates = cand1 - cand0
-                pruned = pruned1 - pruned0
-                kernel = kern1 - kern0
-                substages = _substage_delta(index, substages0)
-            stats.evaluations += evaluations
-            stats.cache_hits += cache_hits
-            stats.cache_misses += cache_misses
-            stats.candidates_generated += candidates
-            stats.evaluations_pruned += pruned
-            stats.kernel_evaluations += kernel
-            stats.add_substages(substages)
-            stats.credit_index(
+                counters = meter.counters()
+                substages = meter.substages()
+            stats.add_run(
                 index.name,
-                lookups=lookups,
-                evaluations=evaluations,
-                candidates_generated=candidates,
-                evaluations_pruned=pruned,
-                kernel_evaluations=kernel,
+                lookups=sum(r.lookups for r in results),
+                seconds=time.perf_counter() - meter.started,
+                counters=counters,
+                substages=substages,
             )
 
         # ``Executor.map`` yields in submission order — chunk order —

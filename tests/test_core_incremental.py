@@ -248,6 +248,42 @@ class TestLazyPrepare:
             )
             assert inc.partition() == batch.partition, i
 
+    def test_shuffled_rid_seed_scores_its_own_vectors(self):
+        """Regression: the seed is re-added under rids 0..n-1, so the
+        distance must be prepared on the renumbered seed.  Preparing on
+        the original rids scored each record with another record's
+        token vectors whenever the seed's rids were not 0..n-1 in
+        order."""
+        import random
+
+        from repro.data.loaders import load_dataset
+        from repro.data.schema import Record
+        from repro.distances.cosine import CosineDistance
+
+        source = load_dataset(
+            "org", n_entities=30, duplicate_fraction=0.4, seed=3
+        ).relation
+        fields = [record.fields for record in source]
+        rids = list(range(len(fields)))
+        random.Random(5).shuffle(rids)
+        shuffled = Relation(
+            name="org",
+            schema=source.schema,
+            records=[Record(rid, f) for rid, f in zip(rids, fields)],
+        )
+        in_order = Relation.from_rows("org", source.schema, fields)
+        params = DEParams.combined(3, 0.4, c=4.0)
+
+        got = IncrementalDeduplicator(
+            CosineDistance(), params, seed=shuffled
+        ).partition()
+        want = IncrementalDeduplicator(
+            CosineDistance(), params, seed=in_order
+        ).partition()
+        batch = DuplicateEliminator(CosineDistance()).run(in_order, params)
+        assert batch.partition.non_trivial_groups()
+        assert got == want == batch.partition
+
     def test_explicit_refit_resets_statistics(self):
         tracking = _PrepareTracking()
         inc = IncrementalDeduplicator(tracking, DEParams.size(3, c=4.0))
