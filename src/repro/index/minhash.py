@@ -13,14 +13,16 @@ regime fuzzy duplicates live in.
 
 Cost model
 ----------
-Signatures *and* per-record band keys are computed exactly once, in
-``_build``; a lookup for an in-relation record is ``n_bands`` dict
-probes plus one verification per surfaced candidate.  Batch queries
-(``knn_batch`` / ``within_batch`` / ``phase1_batch``) additionally run
-inside the base-class batch scope, so every unordered candidate pair is
-evaluated at most once per batch and the NG range counts that follow in
-Phase 1 are served from the shared pair cache.  See
-``docs/performance.md`` ("Choosing an index") for the knobs.
+``_build`` signs every record once and groups every band once.  A numpy
+build keeps per band only integer columns (rows sorted by bucket,
+bucket bounds, each row's bucket, bucket keys); a python build keeps
+bucket dicts.  An in-relation probe slices them, with no hashing; an
+out-of-relation probe signs the record and binary-searches each band's
+bucket keys (or probes the dicts).  With numpy columns and a batch
+kernel, :meth:`phase1_batch` answers a whole batch in one
+candidate-pair pass (each unordered pair evaluated once, no pair
+cache); otherwise Phase 1 is one ``knn``/``within`` + NG probe per
+record.  See ``docs/performance.md`` (Layers 6–8, "Choosing an index").
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.index.base import Neighbor, NNIndex
 from repro.index.signatures import (
     RelationSignatures,
     SignatureFactory,
+    find_bucket,
     group_band_buckets,
 )
 
@@ -115,23 +118,13 @@ class MinHashIndex(NNIndex):
         self.q = q
         self.exhaustive_fallback = exhaustive_fallback
         self.name = f"minhash{n_hashes}x{n_bands}"
-        self._signatures: dict[int, tuple[int, ...]] = {}
-        #: rid -> its ``n_bands`` banded sub-signature keys, precomputed
-        #: in ``_build`` so lookups never re-slice (let alone re-hash)
-        #: a signature.
-        self._band_keys: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-        self._buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        #: rid -> relation-order row, plus per-band row -> bucket member
-        #: lists (aliases of ``_buckets`` values): the hash-free probe
-        #: path for in-relation lookups.
         self._row_of: dict[int, int] = {}
-        self._row_buckets: list[list[list[int]]] = []
-        #: Columnar twin of ``_row_buckets`` when the grouping ran on the
-        #: numpy backend: per band ``(order, bounds, bucket_of)`` arrays
-        #: (see :class:`~repro.index.signatures.BandGrouping`).  Probes
-        #: and the batch candidate expansion of :meth:`phase1_batch` are
-        #: gathers over these.
+        #: The build's :class:`~repro.index.signatures.BandGrouping`:
+        #: columns and bucket keys (numpy) or bucket dicts (python).
         self._band_columns = None
+        self._bucket_keys = None
+        self._buckets: dict[tuple[int, tuple[int, ...]], list[int]] | None = None
+        self._row_buckets: list[list[list[int]]] | None = None
         #: Relation rids in relation order (numpy int64 when available),
         #: backing the vectorized exhaustive-fallback extension.
         self._rid_array = None
@@ -155,9 +148,6 @@ class MinHashIndex(NNIndex):
     def _signature(self, record: Record) -> tuple[int, ...]:
         return minhash_signature(set(self._elements(record)), self.n_hashes)
 
-    def _keys_of(self, signature: tuple[int, ...]) -> tuple:
-        return band_keys(signature, self.n_bands)
-
     def _build(self) -> None:
         """Sign every record and bucket it — once, idempotently.
 
@@ -172,11 +162,8 @@ class MinHashIndex(NNIndex):
         ``kernel_mode``; bucketing through
         :func:`~repro.index.signatures.group_band_buckets`.  Both are
         bit-identical to the scalar :func:`minhash_signature` /
-        :func:`band_keys` path, and the classic ``_signatures`` /
-        ``_band_keys`` / ``_buckets`` views are kept for compatibility
-        (they alias the grouping's shared key tuples and member lists).
-        Build wall time lands in ``substage_seconds`` under
-        ``tokenize`` / ``sign`` / ``bucket``.
+        :func:`band_keys` path.  Build wall time lands in
+        ``substage_seconds`` under ``tokenize`` / ``sign`` / ``bucket``.
         """
         relation, _ = self._checked()
         started = time.perf_counter()
@@ -191,12 +178,11 @@ class MinHashIndex(NNIndex):
         grouping = group_band_buckets(signatures, self.n_bands)
         started = time.perf_counter()
         rids = signatures.rids
-        self._signatures = dict(zip(rids, signatures.tuples))
-        self._band_keys = dict(zip(rids, grouping.row_keys))
-        self._buckets = grouping.buckets
         self._row_of = {rid: i for i, rid in enumerate(rids)}
-        self._row_buckets = grouping.row_buckets
         self._band_columns = grouping.band_columns
+        self._bucket_keys = grouping.keys
+        self._buckets = grouping.buckets
+        self._row_buckets = grouping.row_buckets
         np = numpy_or_none()
         self._rid_array = (
             np.asarray(rids, dtype=np.int64) if np is not None else None
@@ -224,32 +210,43 @@ class MinHashIndex(NNIndex):
         """Sorted candidate rids: ``list[int]``, or int64 array on the
         numpy probe path (same rids in the same ascending order)."""
         row = self._row_of.get(record.rid)
-        seen: set[int] = set()
-        if row is not None:
-            columns = self._band_columns
-            if columns is not None:
-                # In-relation numpy probe: union the bands' member
-                # slices with one C-level sort instead of per-member
-                # python set inserts.
-                np = numpy_or_none()
-                members = [
-                    order[bounds[g] : bounds[g + 1]]
-                    for order, bounds, bucket_of in columns
-                    for g in (bucket_of[row],)
+        # Out-of-relation probes sign on the fly (the only case where a
+        # signature is ever computed outside _build).
+        keys = (
+            band_keys(self._signature(record), self.n_bands)
+            if row is None else None
+        )
+        columns = self._band_columns
+        if columns is not None:
+            # Numpy probe: union the bands' member slices with one
+            # C-level sort instead of per-member python set inserts.
+            np = numpy_or_none()
+            if keys is None:
+                buckets = [bucket_of[row] for _, _, bucket_of in columns]
+            else:
+                buckets = [
+                    find_bucket(bucket_keys, key)
+                    for bucket_keys, (_, key) in zip(self._bucket_keys, keys)
                 ]
-                merged = np.unique(self._rid_array[np.concatenate(members)])
-                return merged[merged != record.rid]
+            members = [
+                order[bounds[g] : bounds[g + 1]]
+                for (order, bounds, _), g in zip(columns, buckets)
+                if g is not None
+            ]
+            if not members:
+                return np.empty(0, dtype=np.int64)
+            merged = np.unique(self._rid_array[np.concatenate(members)])
+            return merged[merged != record.rid]
+        seen: set[int] = set()
+        if keys is None:
             # In-relation probe: no hashing, no key lookups — each
             # band's bucket member list is already resolved per row.
             for band_rows in self._row_buckets:
                 seen.update(band_rows[row])
-            seen.discard(record.rid)
         else:
-            # Out-of-relation probe: sign on the fly (the only case
-            # where a signature is ever computed outside _build).
-            for key in self._keys_of(self._signature(record)):
+            for key in keys:
                 seen.update(self._buckets.get(key, ()))
-            seen.discard(record.rid)
+        seen.discard(record.rid)
         return sorted(seen)
 
     def _fallback_rest(self, record: Record, candidates: list[int]) -> list[int]:

@@ -12,12 +12,13 @@ and the gap widens with n.  :class:`SignatureFactory` exploits that:
    :class:`~repro.distances.kernels.columnar.ColumnarVectors` uses):
    each record's element set becomes a row of vocabulary ids.
 2. **Hash each distinct token once per salt** with the *same* keyed
-   blake2b the scalar path uses, into a ``(V, n_hashes)`` uint64
-   matrix ``H``.
-3. **Gather + column-min**: record ``r``'s signature is the
-   element-wise minimum of the rows ``H[ids(r)]`` — a vectorized
-   ``np.minimum.reduceat`` over CSR segments on the numpy backend, a
-   C-speed ``map(min, zip(*rows))`` on the pure-python fallback.
+   blake2b the scalar path uses (one pre-keyed state per salt, copied
+   per token; all digests decoded in one call) into an
+   ``(n_hashes, V)`` uint64 matrix ``H``.
+3. **Gather + min**: record ``r``'s signature is the element-wise
+   minimum of ``H[:, ids(r)]`` — one ``np.minimum.reduceat`` over CSR
+   segments per salt on the numpy backend, a C-speed
+   ``map(min, zip(*rows))`` on the pure-python fallback.
 
 Both backends are **bit-identical** to the scalar function by
 construction: the per-(token, salt) hashes are the very same blake2b
@@ -26,31 +27,29 @@ and empty element sets sign as all-``_PRIME`` exactly like the scalar
 path.  Persistent-postings warm restarts, shard plans, and every parity
 checksum therefore stay valid no matter which backend signed.
 
-:func:`group_band_buckets` is the companion bucketing step: instead of
-``n * n_bands`` per-record tuple-keyed dict inserts it packs each band's
-sub-signature rows and groups equal rows via a stable lexsort, emitting
-one shared key tuple (and one shared member list) per *bucket*.  Bucket
-membership order equals relation order — identical to the scalar
-append order.
+:func:`group_band_buckets` is the companion bucketing step.  On the
+numpy backend it groups each band's sub-signature rows with one stable
+lexsort and emits only integer columns — no per-record or per-bucket
+python objects; without numpy it is the classic dict-``setdefault``
+loop.  Bucket membership order equals relation order in both forms —
+identical to the scalar append order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.distances.kernels.compat import (
-    KernelUnavailable,
-    numpy_or_none,
-    require_numpy,
-)
+from repro.distances.kernels.compat import numpy_or_none, require_numpy
 
 __all__ = [
     "BandGrouping",
     "RelationSignatures",
     "SignatureFactory",
+    "find_bucket",
     "group_band_buckets",
     "resolve_signer_backend",
 ]
@@ -78,25 +77,32 @@ def resolve_signer_backend(mode: str) -> str:
 
 @dataclass
 class RelationSignatures:
-    """Signatures of one relation, columnar plus scalar views.
+    """Signatures of one relation, aligned with ``rids`` (relation order).
 
-    ``matrix`` is the ``(n, n_hashes)`` uint64 signature matrix (``None``
-    on the python backend); ``tuples`` is the per-record python-int
-    tuple view — byte-for-byte what :func:`minhash_signature` returns —
-    aligned with ``rids`` (relation iteration order).
+    The numpy backend fills ``matrix``, the ``(n, n_hashes)`` uint64
+    signature matrix; the python backend fills ``rows``, one python-int
+    tuple per record.
     """
 
     rids: list[int]
-    tuples: list[tuple[int, ...]]
     n_hashes: int
     backend: str
     matrix: object | None = None
+    rows: list[tuple[int, ...]] | None = None
     #: Sub-stage wall times: ``tokenize`` (element extraction + vocab
     #: interning) and ``sign`` (hashing + min-gather).
     timings: dict[str, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.rids)
+
+    @property
+    def tuples(self) -> list[tuple[int, ...]]:
+        """Per-record tuples, as :func:`minhash_signature` returns them
+        (derived from ``matrix`` on each call on the numpy backend)."""
+        if self.matrix is None:
+            return self.rows
+        return [tuple(row) for row in self.matrix.tolist()]
 
     def matches(self, rids: Sequence[int], n_hashes: int) -> bool:
         """Whether these signatures cover exactly ``rids`` at ``n_hashes``."""
@@ -105,34 +111,51 @@ class RelationSignatures:
 
 @dataclass
 class BandGrouping:
-    """The vectorized LSH bucketing of a signature batch.
+    """The LSH bucketing of a signature batch, in one of two forms.
 
-    All three views alias the *same* key tuples and member lists, so a
-    relation-sized index pays one tuple per bucket, not one per
-    (record, band) insert:
+    **Columns** (numpy backend): ``band_columns`` holds per band an
+    ``(order, bounds, bucket_of)`` triple of int64 arrays — the rows
+    sorted by bucket, each bucket's ``[bounds[g], bounds[g + 1])`` slice
+    of ``order``, and every row's bucket ordinal.  Row ``r``'s band-``b``
+    bucket members are ``order[bounds[g]:bounds[g + 1]]`` with
+    ``g = bucket_of[r]``, in relation order.  ``keys`` holds per band the
+    ``(n_buckets, rows_per_band)`` uint64 sub-signature of each bucket,
+    lexicographically ascending, so a signature from outside the batch
+    finds its bucket by binary search (:func:`find_bucket`).
 
-    - ``buckets``: ``(band, sub-signature) -> member rids`` in relation
-      order — exactly the scalar ``setdefault``/``append`` result;
-    - ``row_keys``: per record its ``n_bands`` keys (the scalar
-      ``band_keys`` output), sharing key tuples across records;
-    - ``row_buckets``: per band, row -> member list, the hash-free probe
-      path for in-relation candidate lookups.
-
-    ``band_columns`` (numpy backend only, else ``None``) is the columnar
-    twin: per band an ``(order, bounds, bucket_of)`` triple of int64
-    arrays — the rows sorted by bucket, each bucket's ``[bounds[g],
-    bounds[g + 1])`` slice of ``order``, and every row's bucket ordinal.
-    Row ``r``'s band-``b`` bucket members are
-    ``order[bounds[g]:bounds[g + 1]]`` with ``g = bucket_of[r]``, so
-    probes and whole-batch candidate expansion are array gathers with
-    no per-row python objects.
+    **Dicts** (python backend): ``buckets`` maps ``(band,
+    sub-signature)`` to member rids in relation order — exactly the
+    scalar ``setdefault``/``append`` result — and ``row_buckets`` holds
+    per band, row -> member list (aliases of the ``buckets`` values).
     """
 
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]]
-    row_keys: list[tuple[tuple[int, tuple[int, ...]], ...]]
-    row_buckets: list[list[list[int]]]
-    seconds: float = 0.0
     band_columns: list[tuple] | None = None
+    keys: list | None = None
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] | None = None
+    row_buckets: list[list[list[int]]] | None = None
+    seconds: float = 0.0
+
+    @property
+    def n_buckets(self) -> int:
+        """Distinct ``(band, sub-signature)`` buckets."""
+        if self.band_columns is None:
+            return len(self.buckets)
+        return sum(len(bounds) - 1 for _, bounds, _ in self.band_columns)
+
+    def shared_buckets(self, rids: Sequence[int]) -> list[list[int]]:
+        """Member rids (relation order) of every bucket with two or more
+        members; ``rids`` are the batch's rids in row order."""
+        if self.band_columns is None:
+            return [members for members in self.buckets.values() if len(members) > 1]
+        np = require_numpy()
+        rid_array = np.asarray(rids, dtype=np.int64)
+        shared: list[list[int]] = []
+        for order, bounds, _ in self.band_columns:
+            ordered = rid_array[order].tolist()
+            edges = bounds.tolist()
+            for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+                shared.append(ordered[edges[g] : edges[g + 1]])
+        return shared
 
 
 class SignatureFactory:
@@ -153,25 +176,13 @@ class SignatureFactory:
             raise ValueError("n_hashes must be at least 1")
         self.n_hashes = n_hashes
         self.backend = resolve_signer_backend(backend)
-        self._salts = [salt.to_bytes(8, "little") for salt in range(n_hashes)]
+        # One keyed blake2b state per salt, copied per token.
+        self._prototypes = [
+            hashlib.blake2b(digest_size=8, salt=salt.to_bytes(8, "little"))
+            for salt in range(n_hashes)
+        ]
 
     # ------------------------------------------------------------------
-
-    def _hash_token(self, token: str) -> list[int]:
-        """All ``n_hashes`` keyed blake2b values of one distinct token.
-
-        The per-(token, salt) value is exactly ``_stable_hash(token,
-        salt)`` — same digest size, same little-endian decode — which is
-        the whole bit-identity argument.
-        """
-        encoded = token.encode("utf-8")
-        blake2b = hashlib.blake2b
-        return [
-            int.from_bytes(
-                blake2b(encoded, digest_size=8, salt=salt).digest(), "little"
-            )
-            for salt in self._salts
-        ]
 
     def sign_records(
         self,
@@ -196,17 +207,18 @@ class SignatureFactory:
         tokenize_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
+        matrix = rows = None
         if self.backend == "numpy":
-            matrix, tuples = self._sign_numpy(vocab, indptr, indices)
+            matrix = self._sign_numpy(vocab, indptr, indices)
         else:
-            matrix, tuples = None, self._sign_python(vocab, indptr, indices)
+            rows = self._sign_python(vocab, indptr, indices)
         sign_seconds = time.perf_counter() - started
         return RelationSignatures(
             rids=[int(rid) for rid in rids],
-            tuples=tuples,
             n_hashes=self.n_hashes,
             backend=self.backend,
             matrix=matrix,
+            rows=rows,
             timings={
                 "tokenize": tokenize_seconds,
                 "sign": sign_seconds,
@@ -223,12 +235,24 @@ class SignatureFactory:
 
     # ------------------------------------------------------------------
 
-    def _hash_matrix_rows(self, vocab: dict[str, int]) -> list[list[int]]:
-        """One hash row per distinct token, in vocabulary-id order."""
-        rows: list[list[int]] = [None] * len(vocab)  # type: ignore[list-item]
-        for token, vid in vocab.items():
-            rows[vid] = self._hash_token(token)
-        return rows
+    def _hash_vocabulary(self, vocab: dict[str, int]) -> bytes:
+        """Every distinct token's ``n_hashes`` keyed blake2b digests.
+
+        Salt-major, tokens in vocabulary-id order (``vocab`` iterates in
+        id order), 8 little-endian bytes per (salt, token) — each exactly
+        the digest ``_stable_hash(token, salt)`` decodes, which is the
+        whole bit-identity argument.
+        """
+        encoded = [token.encode("utf-8") for token in vocab]
+        digests: list[bytes] = []
+        append = digests.append
+        for prototype in self._prototypes:
+            copy = prototype.copy
+            for data in encoded:
+                state = copy()
+                state.update(data)
+                append(state.digest())
+        return b"".join(digests)
 
     def _sign_numpy(
         self, vocab: dict[str, int], indptr: list[int], indices: list[int]
@@ -237,43 +261,31 @@ class SignatureFactory:
         n = len(indptr) - 1
         signatures = np.full((n, self.n_hashes), _PRIME, dtype=np.uint64)
         if vocab:
-            flat = [value for row in self._hash_matrix_rows(vocab) for value in row]
-            hashes = np.array(flat, dtype=np.uint64).reshape(
-                len(vocab), self.n_hashes
-            )
+            hashes = np.frombuffer(
+                self._hash_vocabulary(vocab), dtype="<u8"
+            ).reshape(self.n_hashes, len(vocab))
             ids = np.asarray(indices, dtype=np.int64)
-            starts = np.asarray(indptr[:-1], dtype=np.int64)
-            sizes = np.diff(np.asarray(indptr, dtype=np.int64))
-            nonempty = sizes > 0
-            # Bound the (occurrences, n_hashes) gather scratch: chunk the
-            # record range so each gather stays around ~256k rows.
-            chunk_rows = 1 << 18
-            row = 0
-            while row < n:
-                end = row
-                budget = 0
-                while end < n and (budget == 0 or budget < chunk_rows):
-                    budget += int(sizes[end])
-                    end += 1
-                lo, hi = int(starts[row]), int(indptr[end])
-                if hi > lo:
-                    gathered = hashes[ids[lo:hi]]
-                    mask = nonempty[row:end]
-                    # Empty rows are dropped from the reduceat boundary
-                    # list (duplicate offsets would mis-reduce); their
-                    # signatures stay the all-_PRIME fill.
-                    bounds = (starts[row:end] - lo)[mask]
-                    reduced = np.minimum.reduceat(gathered, bounds, axis=0)
-                    signatures[row:end][mask] = reduced
-                row = end
-        tuples = [tuple(row) for row in signatures.tolist()]
-        return signatures, tuples
+            indptr = np.asarray(indptr, dtype=np.int64)
+            # Empty rows keep the all-_PRIME fill and are left out of the
+            # reduceat offsets (a repeated offset would mis-reduce).
+            rows = np.flatnonzero(np.diff(indptr) > 0)
+            # One salt at a time: O(occurrences) scratch per gather.
+            for salt, column in enumerate(hashes):
+                signatures[rows, salt] = np.minimum.reduceat(
+                    column[ids], indptr[rows]
+                )
+        return signatures
 
     def _sign_python(
         self, vocab: dict[str, int], indptr: list[int], indices: list[int]
     ) -> list[tuple[int, ...]]:
+        size = len(vocab)
         empty = tuple([_PRIME] * self.n_hashes)
-        rows = self._hash_matrix_rows(vocab)
+        flat = struct.unpack(f"<{size * self.n_hashes}Q", self._hash_vocabulary(vocab))
+        # Transpose the salt-major values into one tuple per token.
+        rows = list(
+            zip(*(flat[s * size : (s + 1) * size] for s in range(self.n_hashes)))
+        )
         tuples: list[tuple[int, ...]] = []
         for i in range(len(indptr) - 1):
             lo, hi = indptr[i], indptr[i + 1]
@@ -282,7 +294,7 @@ class SignatureFactory:
                 continue
             token_rows = [rows[vid] for vid in indices[lo:hi]]
             if len(token_rows) == 1:
-                tuples.append(tuple(token_rows[0]))
+                tuples.append(token_rows[0])
             else:
                 tuples.append(tuple(map(min, zip(*token_rows))))
         return tuples
@@ -291,82 +303,74 @@ class SignatureFactory:
 def group_band_buckets(
     signatures: RelationSignatures, n_bands: int
 ) -> BandGrouping:
-    """Bucket signed records by LSH band, vectorized when possible.
+    """Bucket signed records by LSH band.
 
-    Equal-key grouping runs as one stable lexsort per band on the numpy
-    backend (stable, so members keep relation order — the scalar append
-    order) and as the classic dict-``setdefault`` loop otherwise.  Both
-    produce identical ``buckets`` / ``row_keys`` structures.
+    With a signature ``matrix`` (numpy backend) each band is grouped by
+    one stable lexsort (stable, so members keep relation order — the
+    scalar append order) into the columns form; otherwise the classic
+    dict-``setdefault`` loop builds the dicts form (see
+    :class:`BandGrouping`).  Both hold the same buckets.
     """
     if signatures.n_hashes % n_bands != 0:
         raise ValueError("n_hashes must be divisible by n_bands")
     started = time.perf_counter()
     rows_per_band = signatures.n_hashes // n_bands
-    rids = signatures.rids
-    n = len(rids)
-    np = numpy_or_none()
-
-    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    per_band_keys: list[list] = []
-    row_buckets: list[list[list[int]]] = []
-    band_columns: list[tuple] | None = None
-
-    if signatures.matrix is not None and np is not None and n:
-        matrix = signatures.matrix
-        rid_array = np.asarray(rids, dtype=np.int64)
-        band_columns = []
-        for band in range(n_bands):
-            sub = matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
-            # Stable sort: within an equal-key run, relation order is
-            # preserved — the scalar append order.
-            order = np.lexsort(tuple(sub[:, c] for c in reversed(range(rows_per_band))))
-            sorted_sub = sub[order]
-            if n > 1:
-                changed = np.any(sorted_sub[1:] != sorted_sub[:-1], axis=1)
-                heads = np.concatenate(([0], np.flatnonzero(changed) + 1))
-            else:
-                heads = np.zeros(1, dtype=np.int64)
-            starts = np.concatenate((heads, [n])).astype(np.int64)
-            counts = np.diff(starts)
-            # row -> bucket ordinal, inverted from the sort positions.
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[order] = np.repeat(np.arange(len(heads)), counts)
-            ordered_rids = rid_array[order].tolist()
-            bounds = starts.tolist()
-            # One python tuple per *bucket*, not per (record, band), and
-            # one C-speed slice per bucket for its member list.
-            keys = [
-                (band, tuple(key_row))
-                for key_row in sorted_sub[heads].tolist()
-            ]
-            bucket_lists = [
-                ordered_rids[bounds[g] : bounds[g + 1]]
-                for g in range(len(keys))
-            ]
-            buckets.update(zip(keys, bucket_lists))
-            inverse_list = inverse.tolist()
-            per_band_keys.append([keys[g] for g in inverse_list])
-            row_buckets.append([bucket_lists[g] for g in inverse_list])
-            band_columns.append((order.astype(np.int64), starts, inverse))
+    n = len(signatures.rids)
+    if signatures.matrix is None:
+        grouping = _group_dicts(signatures, n_bands, rows_per_band)
     else:
-        per_band_keys = [[None] * n for _ in range(n_bands)]
-        row_buckets = [[None] * n for _ in range(n_bands)]  # type: ignore[list-item]
-        for i, signature in enumerate(signatures.tuples):
-            for band in range(n_bands):
-                key = (
-                    band,
-                    signature[band * rows_per_band : band * rows_per_band + rows_per_band],
-                )
-                bucket = buckets.setdefault(key, [])
-                bucket.append(rids[i])
-                per_band_keys[band][i] = key
-                row_buckets[band][i] = bucket
+        np = require_numpy()
+        band_columns = []
+        keys = []
+        for band in range(n_bands):
+            sub = signatures.matrix[:, band * rows_per_band : (band + 1) * rows_per_band]
+            # Column 0 is the primary key (lexsort reads keys last-first).
+            order = np.lexsort(sub.T[::-1])
+            sorted_sub = sub[order]
+            changed = np.any(sorted_sub[1:] != sorted_sub[:-1], axis=1)
+            heads = np.flatnonzero(np.concatenate(([n > 0], changed)))
+            bounds = np.append(heads, n).astype(np.int64)
+            # row -> bucket ordinal, inverted from the sort positions.
+            bucket_of = np.empty(n, dtype=np.int64)
+            bucket_of[order] = np.repeat(np.arange(len(heads)), np.diff(bounds))
+            band_columns.append((order.astype(np.int64), bounds, bucket_of))
+            keys.append(sorted_sub[heads])
+        grouping = BandGrouping(band_columns=band_columns, keys=keys)
+    grouping.seconds = time.perf_counter() - started
+    return grouping
 
-    row_keys = [tuple(keys) for keys in zip(*per_band_keys)] if n else []
-    return BandGrouping(
-        buckets=buckets,
-        row_keys=row_keys,
-        row_buckets=row_buckets,
-        seconds=time.perf_counter() - started,
-        band_columns=band_columns,
-    )
+
+def _group_dicts(
+    signatures: RelationSignatures, n_bands: int, rows_per_band: int
+) -> BandGrouping:
+    rids = signatures.rids
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    row_buckets: list[list[list[int]]] = [[] for _ in range(n_bands)]
+    for rid, signature in zip(rids, signatures.rows):
+        for band in range(n_bands):
+            lo = band * rows_per_band
+            bucket = buckets.setdefault((band, signature[lo : lo + rows_per_band]), [])
+            bucket.append(rid)
+            row_buckets[band].append(bucket)
+    return BandGrouping(buckets=buckets, row_buckets=row_buckets)
+
+
+def find_bucket(keys, key: Sequence[int]) -> int | None:
+    """Ordinal of the bucket whose sub-signature is ``key``, or ``None``.
+
+    ``keys`` is one band's lexicographically ascending bucket-key array
+    (:attr:`BandGrouping.keys`); the equal range is narrowed one
+    column at a time, ``2 * rows_per_band`` binary searches in all.
+    """
+    np = require_numpy()
+    lo, hi = 0, len(keys)
+    for column, value in enumerate(key):
+        values = keys[lo:hi, column]
+        value = np.uint64(value)
+        lo, hi = (
+            lo + int(np.searchsorted(values, value, "left")),
+            lo + int(np.searchsorted(values, value, "right")),
+        )
+        if lo == hi:
+            return None
+    return lo

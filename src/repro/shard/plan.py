@@ -163,9 +163,9 @@ def _lsh_components(
     hashes nothing at all; otherwise the columnar
     :class:`~repro.index.signatures.SignatureFactory` signs the
     relation once, timed as ``sign_seconds``.  The component structure
-    is independent of which route signed: union-find components do not
-    depend on bucket iteration order, and both routes produce the very
-    same signatures.
+    is independent of which route signed or grouped: union-find
+    components do not depend on bucket iteration order, and both routes
+    produce the very same signatures and buckets.
     """
     ids = relation.ids()
     parent: dict[int, int] = {rid: rid for rid in ids}
@@ -185,13 +185,11 @@ def _lsh_components(
             ids, lambda rid: tokenize(relation.get(rid).text())
         )
         sign_seconds = sum(signatures.timings.values())
-    buckets = group_band_buckets(signatures, n_bands).buckets
+    grouping = group_band_buckets(signatures, n_bands)
 
     pair_buckets: list[list[int]] = []
     n_skipped = 0
-    for bucket in buckets.values():
-        if len(bucket) < 2:
-            continue
+    for bucket in grouping.shared_buckets(signatures.rids):
         first = bucket[0]
         for other in bucket[1:]:
             ra, rb = find(first), find(other)

@@ -8,7 +8,9 @@ from repro.distances.edit import EditDistance
 from repro.distances.jaccard import TokenJaccardDistance
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
-from repro.index.minhash import MinHashIndex
+from repro.distances.kernels import have_numpy
+from repro.distances.tokens import tokenize
+from repro.index.minhash import MinHashIndex, band_keys, minhash_signature
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import DiskManager
 
@@ -104,11 +106,39 @@ class TestMinHash:
         assert hits[0].rid == 3
 
     def test_signature_deterministic(self, relation):
-        a = MinHashIndex()
-        a.build(relation, TokenJaccardDistance())
-        b = MinHashIndex()
-        b.build(relation, TokenJaccardDistance())
-        assert a._signatures == b._signatures
+        expected = [
+            minhash_signature(set(tokenize(record.text())), 64)
+            for record in relation
+        ]
+        for kernel in ["python"] + (["numpy"] if have_numpy() else []):
+            a = MinHashIndex()
+            a.enable_kernel(kernel)
+            a.build(relation, TokenJaccardDistance())
+            b = MinHashIndex()
+            b.enable_kernel(kernel)
+            b.build(relation, TokenJaccardDistance())
+            assert a.relation_signatures().tuples == expected
+            assert b.relation_signatures().tuples == expected
+            # Bucket membership, read from the columns (numpy) or the
+            # dicts (python), is the scalar band_keys grouping.
+            scalar: dict = {}
+            for record, signature in zip(relation, expected):
+                for key in band_keys(signature, a.n_bands):
+                    scalar.setdefault(key, []).append(record.rid)
+            for index in (a, b):
+                if index._band_columns is None:
+                    assert index._buckets == scalar
+                    continue
+                rids = index._rid_array
+                membership = {}
+                for band, ((order, bounds, _), keys) in enumerate(
+                    zip(index._band_columns, index._bucket_keys)
+                ):
+                    for g, key in enumerate(keys.tolist()):
+                        membership[(band, tuple(key))] = rids[
+                            order[bounds[g] : bounds[g + 1]]
+                        ].tolist()
+                assert membership == scalar
 
     def test_rejects_bad_band_config(self):
         with pytest.raises(ValueError):

@@ -22,12 +22,14 @@ import pytest
 from repro.core.formulation import DEParams
 from repro.core.nn_phase import Phase1Stats, prepare_nn_lists
 from repro.data.loaders import load_dataset
+from repro.data.schema import Record
 from repro.distances.edit import EditDistance
+from repro.distances.kernels import have_numpy
 from repro.eval.bench_phase1 import nn_checksum
 from repro.index.bktree import BKTreeIndex
 from repro.index.bruteforce import BruteForceIndex
 from repro.index.inverted import QgramInvertedIndex
-from repro.index.minhash import MinHashIndex
+from repro.index.minhash import MinHashIndex, band_keys, minhash_signature
 from repro.index.pivot import PivotIndex
 from repro.parallel.engine import ParallelNNEngine
 
@@ -56,6 +58,51 @@ def build(factory, relation):
     index = factory()
     index.build(relation, EditDistance())
     return index
+
+
+#: MinHash index builds: ``python`` keeps the bucket dicts, ``numpy``
+#: the integer band columns.
+KERNELS = ["python"] + (["numpy"] if have_numpy() else [])
+
+
+def build_minhash(relation, kernel):
+    index = MinHashIndex()
+    index.enable_kernel(kernel)
+    index.build(relation, EditDistance())
+    return index
+
+
+def band_state(index) -> list[list[list[int]]]:
+    """Per band, every bucket's member rids (relation order), read from
+    whichever form the build kept."""
+    if index._band_columns is None:
+        return [
+            [members for (band, _), members in index._buckets.items() if band == b]
+            for b in range(index.n_bands)
+        ]
+    rids = index._rid_array
+    return [
+        [
+            rids[order[bounds[g] : bounds[g + 1]]].tolist()
+            for g in range(len(bounds) - 1)
+        ]
+        for order, bounds, _ in index._band_columns
+    ]
+
+
+def scalar_candidates(index, relation, probe) -> list[int]:
+    """Relation rids sharing a scalar ``band_keys`` bucket with ``probe``."""
+
+    def keys_of(record):
+        signature = minhash_signature(set(index._elements(record)), index.n_hashes)
+        return set(band_keys(signature, index.n_bands))
+
+    probe_keys = keys_of(probe)
+    return sorted(
+        record.rid
+        for record in relation
+        if record.rid != probe.rid and keys_of(record) & probe_keys
+    )
 
 
 class TestBatchPerQueryParity:
@@ -198,15 +245,18 @@ class TestMinHashBuildOnce:
     """Signatures and band buckets are computed in _build, idempotently."""
 
     def test_rebuild_is_idempotent(self, relation):
-        index = build(MinHashIndex, relation)
-        signatures = dict(index._signatures)
-        band_keys = dict(index._band_keys)
-        buckets = {key: list(rids) for key, rids in index._buckets.items()}
-        index.build(relation, EditDistance())
-        assert index._signatures == signatures
-        assert index._band_keys == band_keys
-        # A non-idempotent rebuild would double every bucket's postings.
-        assert {k: list(v) for k, v in index._buckets.items()} == buckets
+        for kernel in KERNELS:
+            index = build_minhash(relation, kernel)
+            before = band_state(index)
+            index.build(relation, EditDistance())
+            after = band_state(index)
+            assert after == before, kernel
+            # A non-idempotent rebuild would double every bucket's
+            # members: each band must still hold every row exactly once.
+            for members in after:
+                assert sorted(r for bucket in members for r in bucket) == sorted(
+                    relation.ids()
+                ), kernel
 
     def test_lookups_never_resign_in_relation_records(self, relation, monkeypatch):
         index = build(MinHashIndex, relation)
@@ -224,12 +274,23 @@ class TestMinHashBuildOnce:
         other = load_dataset(
             "org", n_entities=5, duplicate_fraction=0.0, seed=99
         ).relation
-        index = build(MinHashIndex, relation)
-        probe = other.records[0]
-        assert probe.rid not in index._band_keys or True
-        # Must not raise: the probe is signed on the fly.
-        index._candidates(probe)
-
+        # Foreign rids: a seed-99 relation reuses rids 0..n, which
+        # would make its records in-relation probes.  An in-relation
+        # text must find that record and its bucket mates; foreign
+        # texts find whatever shares a band key with them.
+        probes = [
+            Record(10**6 + i, record.fields)
+            for i, record in enumerate([relation.records[0], *other])
+        ]
+        for kernel in KERNELS:
+            index = build_minhash(relation, kernel)
+            for probe in probes:
+                assert probe.rid not in index._row_of
+                got = [int(rid) for rid in index._candidates(probe)]
+                assert got == scalar_candidates(index, relation, probe), kernel
+            assert relation.records[0].rid in [
+                int(rid) for rid in index._candidates(probes[0])
+            ]
 
 class TestPerQueryCacheConsultation:
     """A primed pair cache serves the per-query path (hit-rate regression).

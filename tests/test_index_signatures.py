@@ -21,6 +21,7 @@ from repro.index.minhash import _PRIME, band_keys, minhash_signature
 from repro.index.postings import PersistentMinHashPostings
 from repro.index.signatures import (
     SignatureFactory,
+    find_bucket,
     group_band_buckets,
     resolve_signer_backend,
 )
@@ -109,23 +110,79 @@ class TestBandGroupingParity:
             signature = minhash_signature(tokens, n_hashes)
             for band, key in band_keys(signature, n_bands):
                 expected.setdefault((band, key), []).append(row)
-        assert {
-            key: members for key, members in grouping.buckets.items()
-        } == expected
-        for row, keys in enumerate(grouping.row_keys):
-            signature = minhash_signature(self.SETS[row], n_hashes)
-            assert keys == band_keys(signature, n_bands)
+        assert bucket_membership(grouping, signed.rids) == expected
+        assert grouping.n_buckets == len(expected)
+        shared = sorted(map(tuple, grouping.shared_buckets(signed.rids)))
+        assert shared == sorted(
+            tuple(members) for members in expected.values() if len(members) > 1
+        )
+        # Every row's own bucket is the one its scalar band key names.
+        for row, tokens in enumerate(self.SETS):
+            signature = minhash_signature(tokens, n_hashes)
+            for band, key in band_keys(signature, n_bands):
+                assert row_bucket(grouping, signed.rids, band, row) == expected[
+                    (band, key)
+                ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_row_buckets_alias_bucket_lists(self, backend):
-        # row_buckets must share list identity with buckets so the
-        # index's member-probe path never diverges from the key path.
+        # A row's bucket, read through the per-row view (``row_buckets``
+        # or ``bucket_of``), is the bucket its key finds (``buckets`` or
+        # ``find_bucket``): the index's in-relation probe path never
+        # diverges from its out-of-relation key path.
         factory = SignatureFactory(16, backend=backend)
-        grouping = group_band_buckets(factory.sign_sets(self.SETS), 4)
-        for band, per_row in enumerate(grouping.row_buckets):
-            for row, members in enumerate(per_row):
-                key = grouping.row_keys[row][band]
-                assert members is grouping.buckets[key]
+        signed = factory.sign_sets(self.SETS)
+        grouping = group_band_buckets(signed, 4)
+        for row, tokens in enumerate(self.SETS):
+            signature = minhash_signature(tokens, 16)
+            for band, key in band_keys(signature, 4):
+                if grouping.band_columns is None:
+                    members = grouping.row_buckets[band][row]
+                    assert members is grouping.buckets[(band, key)]
+                else:
+                    bucket_of = grouping.band_columns[band][2]
+                    assert find_bucket(grouping.keys[band], key) == bucket_of[row]
+
+    @pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+    def test_find_bucket_misses_unknown_keys(self):
+        signed = SignatureFactory(16, backend="numpy").sign_sets(self.SETS)
+        grouping = group_band_buckets(signed, 4)
+        for band, key in band_keys(minhash_signature({"absent"}, 16), 4):
+            assert find_bucket(grouping.keys[band], key) is None
+        # A key sharing all but its last row with a real bucket.
+        key = tuple(grouping.keys[0][0].tolist())
+        assert find_bucket(grouping.keys[0], key[:-1] + (key[-1] + 1,)) is None
+
+    @pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+    def test_empty_batch_groups(self):
+        signed = SignatureFactory(8, backend="numpy").sign_sets([])
+        grouping = group_band_buckets(signed, 2)
+        assert grouping.n_buckets == 0
+        assert grouping.shared_buckets(signed.rids) == []
+        assert find_bucket(grouping.keys[0], (1, 2, 3, 4)) is None
+
+
+def bucket_membership(grouping, rids) -> dict:
+    """``(band, sub-signature) -> member rids`` from either grouping form."""
+    if grouping.band_columns is None:
+        return dict(grouping.buckets)
+    membership = {}
+    for band, ((order, bounds, _), keys) in enumerate(
+        zip(grouping.band_columns, grouping.keys)
+    ):
+        for g, key in enumerate(keys.tolist()):
+            members = order[bounds[g] : bounds[g + 1]].tolist()
+            membership[(band, tuple(key))] = [rids[row] for row in members]
+    return membership
+
+
+def row_bucket(grouping, rids, band, row) -> list[int]:
+    """Members of ``row``'s band-``band`` bucket, read through the row view."""
+    if grouping.band_columns is None:
+        return grouping.row_buckets[band][row]
+    order, bounds, bucket_of = grouping.band_columns[band]
+    g = bucket_of[row]
+    return [rids[r] for r in order[bounds[g] : bounds[g + 1]].tolist()]
 
 
 class TestSignRecords:

@@ -320,6 +320,9 @@ class TestShardedParity:
         assert nn_checksum(sharded.nn_relation) == nn_checksum(
             reference.nn_relation
         )
+        # The planner's columns-only grouping keeps every LSH pair
+        # co-resident on this input.
+        assert sharded.stats.shard_plan["recall"] == 1.0
 
     def test_concurrent_shards_share_one_index(self):
         """More in-flight shards than cores, with frequent thread
